@@ -508,7 +508,7 @@ func BenchmarkServiceShotsPerSec(b *testing.B) {
 			defer svc.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := svc.Run(context.Background(), service.JobSpec{Source: src, Shots: shots})
+				res, err := runService(context.Background(), svc, service.RequestSpec{Source: src, Shots: shots})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -535,12 +535,12 @@ func BenchmarkServiceSubmitLatency(b *testing.B) {
 	defer svc.Close()
 	src := service.SmokePrograms()["flip"]
 	// Warm the program cache so the loop measures queue + dispatch.
-	if _, err := svc.Run(context.Background(), service.JobSpec{Source: src}); err != nil {
+	if _, err := runService(context.Background(), svc, service.RequestSpec{Source: src}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Run(context.Background(), service.JobSpec{Source: src}); err != nil {
+		if _, err := runService(context.Background(), svc, service.RequestSpec{Source: src}); err != nil {
 			b.Fatal(err)
 		}
 	}

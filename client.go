@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"eqasm/internal/wire"
 )
 
 // Client is the job-service Backend: it submits batches of programs to
@@ -99,28 +101,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 	return c
 }
 
-// requestWire mirrors one request of the service's POST /v1/batches
-// payload.
-type requestWire struct {
-	Source  string             `json:"source,omitempty"`
-	Shots   int                `json:"shots,omitempty"`
-	Seed    int64              `json:"seed,omitempty"`
-	Tag     string             `json:"tag,omitempty"`
-	Chip    string             `json:"chip,omitempty"`
-	Backend string             `json:"backend,omitempty"`
-	Fusion  string             `json:"fusion,omitempty"`
-	Params  map[string]float64 `json:"params,omitempty"`
-}
-
-// batchRequestWire mirrors the service's POST /v1/batches payload.
-type batchRequestWire struct {
-	Requests []requestWire `json:"requests"`
-	// Wait makes the POST synchronous: the response carries the
-	// terminal batch description, so no status polls are needed (the
-	// Run fast path).
-	Wait bool `json:"wait,omitempty"`
-}
-
 // batchResponseWire mirrors the service's batch description.
 type batchResponseWire struct {
 	ID       string              `json:"id"`
@@ -162,18 +142,13 @@ func (r *requestStatusWire) toResult() *Result {
 }
 
 // wireSource renders a program for submission: the original source
-// when available, otherwise the round-trip-stable disassembly.
-// Parametric programs have no 32-bit encoding to disassemble from, so
-// they ship as the assembly rendering instead (which round-trips
-// their %name angle operands through the assembler).
+// when available, otherwise its disassembly (which Assemble accepts
+// back, symbolic-angle and wide-mask programs included).
 func wireSource(p *Program) (string, error) {
 	if p.source != "" {
 		return p.source, nil
 	}
-	if s, err := p.Disassemble(); err == nil {
-		return s, nil
-	}
-	return p.renderSource()
+	return p.Disassemble()
 }
 
 // ServiceError is a non-2xx HTTP response from the service, carrying
@@ -287,7 +262,7 @@ func (c *Client) submitJob(ctx context.Context, streaming, wait bool, reqs []Run
 	if err != nil {
 		return nil, err
 	}
-	wire := batchRequestWire{Requests: make([]requestWire, len(reqs)), Wait: wait}
+	body := wire.Batch{Requests: make([]wire.Request, len(reqs)), Wait: wait}
 	for i, r := range reqs {
 		if r.Options.Shots < 0 {
 			return nil, fmt.Errorf("eqasm: negative shot count %d", r.Options.Shots)
@@ -299,7 +274,7 @@ func (c *Client) submitJob(ctx context.Context, streaming, wait bool, reqs []Run
 		// The program's bound chip travels with each request, so a
 		// program assembled for one topology cannot silently execute
 		// under another chip's semantics on a mismatched service.
-		wire.Requests[i] = requestWire{
+		body.Requests[i] = wire.Request{
 			Source:  src,
 			Shots:   r.Options.Shots,
 			Seed:    r.Options.Seed,
@@ -311,7 +286,7 @@ func (c *Client) submitJob(ctx context.Context, streaming, wait bool, reqs []Run
 		}
 	}
 	var br batchResponseWire
-	if err = c.do(ctx, http.MethodPost, "/v1/batches", wire, &br); err != nil {
+	if err = c.do(ctx, http.MethodPost, "/v1/batches", body, &br); err != nil {
 		return nil, err
 	}
 	job := newJob(br.ID, reqs)

@@ -8,7 +8,9 @@ package eqasm_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -80,15 +82,19 @@ func newCoordinator(t testing.TB, p *workerPool, cfg coordinator.Config) *coordi
 // so the per-batch seed derivation lines up shot for shot.
 func simReference(t *testing.T, src string, shots int, seed int64, workers int) *eqasm.Result {
 	t.Helper()
-	prog, err := eqasm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return simRun(t, assemble(t, src), eqasm.RunOptions{Shots: shots, Seed: seed, Workers: workers})
+}
+
+// simRun is simReference for an already-built program and full run
+// options (the caller sets opts.Workers to the service-side batch
+// count).
+func simRun(t *testing.T, prog *eqasm.Program, opts eqasm.RunOptions) *eqasm.Result {
+	t.Helper()
 	sim, err := eqasm.NewSimulator(eqasm.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(context.Background(), prog, eqasm.RunOptions{Shots: shots, Seed: seed, Workers: workers})
+	res, err := sim.Run(context.Background(), prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +329,232 @@ func TestCoordinatorWALReplay(t *testing.T) {
 	}
 	if _, err := job3.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoordinatorParamsFusionAngles holds the routing tier to one
+// request shape from Client to journal: parameter bindings and the
+// fusion override survive the coordinator's HTTP front end and its
+// write-ahead log, and compiled programs whose angles have no 32-bit
+// encoding route in process. Every result is bit-identical to a lone
+// Simulator at the same seeds.
+func TestCoordinatorParamsFusionAngles(t *testing.T) {
+	const (
+		shots      = 32
+		batchShots = 8
+		workers    = shots / batchShots // the service-side batch split
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sweep, err := eqasm.CompileCircuit(paramAnsatz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepReqs := func(thetas ...float64) []eqasm.RunRequest {
+		reqs := make([]eqasm.RunRequest, len(thetas))
+		for i, theta := range thetas {
+			reqs[i] = eqasm.RunRequest{
+				Program: sweep,
+				Options: eqasm.RunOptions{Shots: shots, Seed: int64(20 + i)},
+				Params:  map[string]float64{"theta": theta},
+				Tag:     fmt.Sprintf("p%d", i),
+			}
+		}
+		return reqs
+	}
+	checkParity := func(t *testing.T, reqs []eqasm.RunRequest, results []*eqasm.Result) {
+		t.Helper()
+		for i, r := range reqs {
+			opts := r.Options
+			opts.Workers = workers
+			if r.Params != nil {
+				opts.Params = r.Params
+			}
+			if want := simRun(t, r.Program, opts).Histogram; !maps.Equal(results[i].Histogram, want) {
+				t.Errorf("request %d (%s): histogram %v, simulator %v", i, r.Tag, results[i].Histogram, want)
+			}
+		}
+	}
+
+	t.Run("client-sweep-and-fusion", func(t *testing.T) {
+		pool := startWorkers(t, 2, service.Config{Workers: 2, BatchShots: batchShots})
+		coord := newCoordinator(t, pool, coordinator.Config{})
+		front := httptest.NewServer(httpapi.NewBackend(coord).Handler())
+		defer front.Close()
+		client := eqasm.NewClient(front.URL,
+			eqasm.WithHTTPClient(front.Client()),
+			eqasm.WithPollInterval(2*time.Millisecond))
+
+		// The fusion override alone first: the Bell pair fuses on the
+		// state vector unless "off" reaches the worker, and a fused run
+		// would show in its kernel profile.
+		bell := eqasm.RunRequest{
+			Program: assemble(t, service.SmokePrograms()["bell"]),
+			Options: eqasm.RunOptions{Shots: shots, Seed: 5, Backend: eqasm.BackendStateVector, Fusion: eqasm.FusionOff},
+			Tag:     "unfused",
+		}
+		job, err := client.Submit(ctx, bell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := job.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkParity(t, []eqasm.RunRequest{bell}, results)
+		for url, svc := range pool.svcs {
+			profile := svc.Stats().GateProfile
+			for kind := range profile {
+				if strings.HasPrefix(kind, "fused.") || strings.HasPrefix(kind, "fusion.") {
+					t.Errorf("worker %s ran fused kernels for a fusion-off request: %v", url, profile)
+					break
+				}
+			}
+		}
+
+		// Then the %theta sweep as one batch.
+		reqs := sweepReqs(0, math.Pi/3, 2.5)
+		if job, err = client.Submit(ctx, reqs...); err != nil {
+			t.Fatal(err)
+		}
+		if results, err = job.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		checkParity(t, reqs, results)
+	})
+
+	t.Run("in-process-angles", func(t *testing.T) {
+		pool := startWorkers(t, 2, service.Config{Workers: 2, BatchShots: batchShots})
+		coord := newCoordinator(t, pool, coordinator.Config{})
+		for _, tc := range []struct {
+			src    string
+			params map[string]float64
+		}{
+			{"qubits 3\nh q[0]\nrz q[0], 0.3\nrx q[0], 1.3\nmeasure q[0]\n", nil},
+			{"qubits 3\nh q[0]\nrz q[0], %theta\nrx q[0], 1.3\nmeasure q[0]\n", map[string]float64{"theta": 1.1}},
+		} {
+			prog, err := eqasm.CompileCircuit(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := eqasm.RunOptions{Shots: shots, Seed: 11, Params: tc.params}
+			res, err := coord.Run(ctx, prog, opts)
+			if err != nil {
+				t.Fatalf("%q: %v", tc.src, err)
+			}
+			opts.Workers = workers
+			if want := simRun(t, prog, opts).Histogram; !maps.Equal(res.Histogram, want) {
+				t.Errorf("%q: histogram %v, simulator %v", tc.src, res.Histogram, want)
+			}
+		}
+	})
+
+	t.Run("wal-replay", func(t *testing.T) {
+		walPath := filepath.Join(t.TempDir(), "coord.wal")
+		reqs := sweepReqs(0.4, 1.9)
+		reqs[1].Options.Fusion = eqasm.FusionOff
+
+		// Life 1: no reachable worker, so the batch is journaled and
+		// still running when Close abandons it, as a crash would.
+		log1, err := wal.Open(walPath, wal.WithFsync(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord1, err := coordinator.New(coordinator.Config{
+			Workers:        []string{"http://127.0.0.1:1"},
+			HealthInterval: 10 * time.Millisecond,
+			WorkerWait:     time.Minute,
+			WAL:            log1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job1, err := coord1.Submit(ctx, reqs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Life 2: the journal alone rebuilds the parametric batch.
+		pool := startWorkers(t, 1, service.Config{Workers: 2, BatchShots: batchShots})
+		log2, err := wal.Open(walPath, wal.WithFsync(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord2 := newCoordinator(t, pool, coordinator.Config{WAL: log2})
+		job2, ok := coord2.Job(job1.ID())
+		if !ok {
+			t.Fatalf("recovered coordinator does not know batch %s", job1.ID())
+		}
+		results, err := job2.Wait(ctx)
+		if err != nil {
+			t.Fatalf("recovered job: %v", err)
+		}
+		checkParity(t, reqs, results)
+	})
+}
+
+// TestCoordinatorWALParentRecord replays a journal written in the
+// accepted-record shape of earlier coordinators (chip plus requests
+// carrying source, shots, seed, tag and backend), seeded as literal
+// bytes, and checks the batch finishes bit-identically.
+func TestCoordinatorWALParentRecord(t *testing.T) {
+	const (
+		shots      = 64
+		batchShots = 16
+	)
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	log, err := wal.Open(walPath, wal.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := `{"chip":"twoqubit","requests":[` +
+		`{"source":"SMIS S0, {0}\nSMIS S2, {0, 2}\nSMIT T0, {(0, 2)}\nQWAIT 10000\nH S0\nCNOT T0\n2, MEASZ S2\nQWAIT 50\nSTOP\n","shots":64,"seed":9,"tag":"bell","backend":"statevector"},` +
+		`{"source":"SMIS S0, {0}\nQWAIT 10000\nX S0\nMEASZ S0\nQWAIT 50\nSTOP\n","shots":64,"seed":3,"tag":"flip"}]}`
+	if err := log.Append(wal.Entry{Kind: wal.KindAccepted, Batch: "coord-000042", Index: -1, Data: []byte(record)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := startWorkers(t, 2, service.Config{Workers: 2, BatchShots: batchShots})
+	reopened, err := wal.Open(walPath, wal.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := newCoordinator(t, pool, coordinator.Config{WAL: reopened})
+	job, ok := coord.Job("coord-000042")
+	if !ok {
+		t.Fatal("coordinator did not recover the journaled batch")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	results, err := job.Wait(ctx)
+	if err != nil {
+		t.Fatalf("recovered job: %v", err)
+	}
+	for i, want := range []struct {
+		src     string
+		seed    int64
+		tag     string
+		backend string
+	}{
+		{service.SmokePrograms()["bell"], 9, "bell", eqasm.BackendStateVector},
+		{service.SmokePrograms()["flip"], 3, "flip", ""},
+	} {
+		opts := eqasm.RunOptions{Shots: shots, Seed: want.seed, Backend: want.backend, Workers: shots / batchShots}
+		if ref := simRun(t, assemble(t, want.src), opts).Histogram; !maps.Equal(results[i].Histogram, ref) {
+			t.Errorf("%s: recovered histogram %v, simulator %v", want.tag, results[i].Histogram, ref)
+		}
+		if want.backend != "" && results[i].Backend != want.backend {
+			t.Errorf("%s: ran on %q, journal asked for %q", want.tag, results[i].Backend, want.backend)
+		}
+		if tag := job.Requests()[i].Tag; tag != want.tag {
+			t.Errorf("request %d: tag %q, want %q", i, tag, want.tag)
+		}
 	}
 }
 

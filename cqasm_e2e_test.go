@@ -63,6 +63,34 @@ func TestCompileCircuitMatchesFixtureOnSimulator(t *testing.T) {
 	}
 }
 
+// postBatchWait submits req as a one-request synchronous /v1/batches
+// batch and returns the request's terminal outcome, failing the test
+// unless the batch completed.
+func postBatchWait(t *testing.T, url string, req map[string]any) service.RequestResult {
+	t.Helper()
+	payload, err := json.Marshal(map[string]any{"requests": []map[string]any{req}, "wait": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/batches", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br struct {
+		Status   string                  `json:"status"`
+		Error    string                  `json:"error"`
+		Requests []service.RequestResult `json:"requests"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || br.Status != "completed" || len(br.Requests) != 1 {
+		t.Fatalf("batch failed: HTTP %d status=%q error=%q", resp.StatusCode, br.Status, br.Error)
+	}
+	return br.Requests[0]
+}
+
 func TestCQASMJobViaHTTPService(t *testing.T) {
 	cq := loadFixture(t, "testdata", "circuits", "bell.cq")
 	asmSrc := loadFixture(t, "testdata", "programs", "bell.eqasm")
@@ -81,42 +109,20 @@ func TestCQASMJobViaHTTPService(t *testing.T) {
 	defer ts.Close()
 
 	const shots = 200
-	submit := func(body map[string]any) map[string]int {
+	submit := func(req map[string]any) map[string]int {
 		t.Helper()
-		payload, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
+		rr := postBatchWait(t, ts.URL, req)
+		if rr.Shots != shots {
+			t.Fatalf("ran %d shots, want %d", rr.Shots, shots)
 		}
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var jr struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-			Result *struct {
-				Shots     int            `json:"shots"`
-				Histogram map[string]int `json:"histogram"`
-			} `json:"result"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || jr.Status != "completed" || jr.Result == nil {
-			t.Fatalf("job failed: HTTP %d status=%q error=%q", resp.StatusCode, jr.Status, jr.Error)
-		}
-		if jr.Result.Shots != shots {
-			t.Fatalf("ran %d shots, want %d", jr.Result.Shots, shots)
-		}
-		return jr.Result.Histogram
+		return rr.Histogram
 	}
 
 	got := submit(map[string]any{
-		"source": cq, "format": "cqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": cq, "format": "cqasm", "shots": shots, "seed": 23,
 	})
 	want := submit(map[string]any{
-		"source": asmSrc, "shots": shots, "seed": 23, "wait": true,
+		"source": asmSrc, "shots": shots, "seed": 23,
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cqasm job histogram %v != eqasm fixture histogram %v", got, want)
@@ -129,15 +135,15 @@ func TestCQASMJobViaHTTPService(t *testing.T) {
 	// cache (server-side compilation cached alongside assembled programs).
 	before := svc.Stats().CacheHits
 	submit(map[string]any{
-		"source": cq, "format": "cqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": cq, "format": "cqasm", "shots": shots, "seed": 23,
 	})
 	if after := svc.Stats().CacheHits; after != before+1 {
 		t.Fatalf("cache hits %d -> %d; cqasm submission did not hit the program cache", before, after)
 	}
 
 	// Unknown formats are rejected with a client error.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"source": "qubits 1", "format": "quil"}`)))
+	resp, err := http.Post(ts.URL+"/v1/batches", "application/json",
+		bytes.NewReader([]byte(`{"requests": [{"source": "qubits 1", "format": "quil"}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +153,8 @@ func TestCQASMJobViaHTTPService(t *testing.T) {
 	}
 
 	// cQASM parse faults surface as positioned diagnostics over the wire.
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"source": "qubits 2\nwobble q[0]", "format": "cqasm"}`)))
+	resp, err = http.Post(ts.URL+"/v1/batches", "application/json",
+		bytes.NewReader([]byte(`{"requests": [{"source": "qubits 2\nwobble q[0]", "format": "cqasm"}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

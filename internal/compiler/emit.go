@@ -6,12 +6,11 @@ import (
 )
 
 // Emitter generates executable eQASM from a schedule. It survives from
-// the pre-pipeline compiler as a thin delegating wrapper (mirroring the
-// core.ParallelShots → FanShots precedent): Emit drives the pack,
-// mask-register allocation, timing-lowering and emit passes over the
-// schedule's IR, so pre-pipeline callers (experiments, benchmarks,
-// retargeting) compile unchanged while new code composes the passes
-// directly or goes through NewPipeline.
+// the pre-pipeline compiler as a thin delegating wrapper: Emit drives
+// the pack, mask-register allocation, timing-lowering and emit passes
+// over the schedule's IR, so pre-pipeline callers (experiments,
+// benchmarks, retargeting) compile unchanged while new code composes
+// the passes directly or goes through NewPipeline.
 type Emitter struct {
 	Config *isa.OpConfig
 	Topo   *topology.Topology

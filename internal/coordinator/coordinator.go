@@ -46,6 +46,7 @@ import (
 	"eqasm"
 	"eqasm/internal/service"
 	"eqasm/internal/wal"
+	"eqasm/internal/wire"
 )
 
 // Config parameterizes a Coordinator. Workers is required; everything
@@ -231,17 +232,7 @@ func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, strea
 	if err != nil {
 		return nil, err
 	}
-	rec := acceptedRecord{Chip: c.chip, Requests: make([]requestRecord, len(reqs))}
-	for i, r := range reqs {
-		rec.Requests[i] = requestRecord{
-			Source:  p.srcs[i],
-			Shots:   r.Options.Shots,
-			Seed:    r.Options.Seed,
-			Tag:     r.Tag,
-			Backend: r.Options.Backend,
-		}
-	}
-	data, err := json.Marshal(rec)
+	data, err := json.Marshal(acceptedRecord{Chip: c.chip, Requests: p.items})
 	if err != nil {
 		p.release()
 		return nil, fmt.Errorf("coordinator: journal batch: %w", err)
@@ -345,46 +336,47 @@ func (c *Coordinator) Job(id string) (*eqasm.Job, bool) {
 	return p.job, true
 }
 
-// Resolve turns wire source text into a bound program — assembling
-// eQASM or compiling cQASM/OpenQASM circuit text against the
-// coordinator's stack — through the coordinator's own content-hash
-// cache. It serves the HTTP tier's
-// submission path; the cache key is the same hash the workers use, so
-// a cached resolve here predicts a warm worker downstream.
-func (c *Coordinator) Resolve(source, format, chip string) (*eqasm.Program, bool, error) {
-	if chip != "" && chip != c.chip {
-		return nil, false, fmt.Errorf("coordinator: program chip %q does not match pool chip %q", chip, c.chip)
+// Resolve turns a wire request into a run request bound to a program
+// — assembling eQASM or compiling cQASM/OpenQASM circuit text against
+// the coordinator's stack — through the coordinator's own content-hash
+// cache. It is the one conversion from the wire shape: the HTTP tier's
+// submissions and WAL recovery both call it. The cache key is the same
+// hash the workers use, so a cached resolve here predicts a warm
+// worker downstream.
+func (c *Coordinator) Resolve(item wire.Request) (eqasm.RunRequest, error) {
+	if item.Circuit != nil {
+		return eqasm.RunRequest{}, errors.New("coordinator: circuit requests are not accepted at the routing tier; submit source text")
 	}
-	switch format {
-	case "", service.FormatEQASM, service.FormatCQASM, service.FormatOpenQASM:
-	default:
-		return nil, false, fmt.Errorf("coordinator: unknown format %q (valid: %s, %s, %s)",
-			format, service.FormatEQASM, service.FormatCQASM, service.FormatOpenQASM)
+	if item.Chip != "" && item.Chip != c.chip {
+		return eqasm.RunRequest{}, fmt.Errorf("coordinator: program chip %q does not match pool chip %q", item.Chip, c.chip)
 	}
-	if source == "" {
-		return nil, false, errors.New("coordinator: empty source")
-	}
-	key, err := service.RequestSpec{Source: source, Format: format}.CacheKey()
+	key, err := service.RequestSpec{Source: item.Source, Format: item.Format}.CacheKey()
 	if err != nil {
-		return nil, false, err
+		return eqasm.RunRequest{}, err
 	}
-	if prog, ok := c.cache.Get(key); ok {
-		return prog, true, nil
+	prog, ok := c.cache.Get(key)
+	if !ok {
+		switch item.Format {
+		case service.FormatCQASM:
+			prog, err = eqasm.CompileCircuit(item.Source, c.cfg.Machine...)
+		case service.FormatOpenQASM:
+			prog, err = eqasm.CompileOpenQASM(item.Source, c.cfg.Machine...)
+		case "", service.FormatEQASM:
+			prog, err = eqasm.Assemble(item.Source, c.cfg.Machine...)
+		default:
+			err = fmt.Errorf("coordinator: unknown format %q", item.Format)
+		}
+		if err != nil {
+			return eqasm.RunRequest{}, err
+		}
+		c.cache.Put(key, prog)
 	}
-	var prog *eqasm.Program
-	switch format {
-	case service.FormatCQASM:
-		prog, err = eqasm.CompileCircuit(source, c.cfg.Machine...)
-	case service.FormatOpenQASM:
-		prog, err = eqasm.CompileOpenQASM(source, c.cfg.Machine...)
-	default:
-		prog, err = eqasm.Assemble(source, c.cfg.Machine...)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	c.cache.Put(key, prog)
-	return prog, false, nil
+	return eqasm.RunRequest{
+		Program: prog,
+		Options: eqasm.RunOptions{Shots: item.Shots, Seed: item.Seed, Backend: item.Backend, Fusion: item.Fusion},
+		Params:  item.Params,
+		Tag:     item.Tag,
+	}, nil
 }
 
 // Draining reports whether the coordinator has stopped accepting work.

@@ -20,23 +20,17 @@ import (
 	"eqasm"
 	"eqasm/internal/service"
 	"eqasm/internal/wal"
+	"eqasm/internal/wire"
 )
 
 // Journal record shapes. An accepted record carries everything needed
-// to rebuild the batch in a fresh process (wire source text, options);
-// a result record one request's terminal outcome; a done entry (no
-// payload) retires the batch from recovery.
-type requestRecord struct {
-	Source  string `json:"source"`
-	Shots   int    `json:"shots,omitempty"`
-	Seed    int64  `json:"seed,omitempty"`
-	Tag     string `json:"tag,omitempty"`
-	Backend string `json:"backend,omitempty"`
-}
-
+// to rebuild the batch in a fresh process: each request in its wire
+// shape, which Resolve turns back into a run request; a result record
+// one request's terminal outcome; a done entry (no payload) retires the
+// batch from recovery.
 type acceptedRecord struct {
-	Chip     string          `json:"chip,omitempty"`
-	Requests []requestRecord `json:"requests"`
+	Chip     string         `json:"chip,omitempty"`
+	Requests []wire.Request `json:"requests"`
 }
 
 type resultRecord struct {
@@ -49,12 +43,12 @@ type resultRecord struct {
 // routing state the driver works through, and the journal entries a
 // checkpoint must preserve while the batch is unfinished.
 type pending struct {
-	id   string
-	job  *eqasm.Job
-	ctl  *eqasm.JobController
-	reqs []eqasm.RunRequest
-	srcs []string // wire text per request (journaled, re-assemblable)
-	keys []string // content-hash routing key per request
+	id    string
+	job   *eqasm.Job
+	ctl   *eqasm.JobController
+	reqs  []eqasm.RunRequest
+	items []wire.Request // wire shape per request (journaled)
+	keys  []string       // content-hash routing key per request
 
 	attempts []int
 	terminal []bool // per-request: outcome recorded (driver-owned)
@@ -76,14 +70,31 @@ func (p *pending) release() {
 	p.cancel(context.Canceled)
 }
 
-// wireText renders a program as the source the wire carries: the
-// original text when it has one, its disassembly otherwise (matching
-// what eqasm.Client submits).
-func wireText(p *eqasm.Program) (string, error) {
-	if s := p.Source(); s != "" {
-		return s, nil
+// wireRequest renders r in the wire shape the journal keeps: the
+// program text by the Client's rule (its source, else its disassembly)
+// plus every option a worker must see, so a batch rebuilt from the
+// journal through Resolve runs exactly as submitted.
+func wireRequest(r eqasm.RunRequest) (wire.Request, error) {
+	src := r.Program.Source()
+	if src == "" {
+		var err error
+		if src, err = r.Program.Disassemble(); err != nil {
+			return wire.Request{}, err
+		}
 	}
-	return p.Disassemble()
+	params := r.Params
+	if params == nil {
+		params = r.Options.Params
+	}
+	return wire.Request{
+		Source:  src,
+		Shots:   r.Options.Shots,
+		Seed:    r.Options.Seed,
+		Tag:     r.Tag,
+		Backend: r.Options.Backend,
+		Fusion:  r.Options.Fusion,
+		Params:  params,
+	}, nil
 }
 
 // newPending builds the controlled job and routing state for a batch.
@@ -93,7 +104,7 @@ func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eq
 	p := &pending{
 		id:       id,
 		reqs:     reqs,
-		srcs:     make([]string, len(reqs)),
+		items:    make([]wire.Request, len(reqs)),
 		keys:     make([]string, len(reqs)),
 		attempts: make([]int, len(reqs)),
 		terminal: make([]bool, len(reqs)),
@@ -108,13 +119,13 @@ func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eq
 	}
 	p.job, p.ctl = job, ctl
 	for i, r := range reqs {
-		src, err := wireText(r.Program)
+		item, err := wireRequest(r)
 		if err != nil {
 			p.cancel(context.Canceled)
 			return nil, fmt.Errorf("coordinator: request %d: %w", i, err)
 		}
-		p.srcs[i] = src
-		p.keys[i] = routeKey(src)
+		p.items[i] = item
+		p.keys[i] = routeKey(item.Source)
 	}
 	if submitCtx != nil && submitCtx.Done() != nil {
 		p.stopWatch = context.AfterFunc(submitCtx, func() {
@@ -443,25 +454,22 @@ func (c *Coordinator) replayWAL() ([]*recBatch, error) {
 	return live, nil
 }
 
-// recover re-admits one journaled batch: rebuild its programs from
-// wire text, reapply the outcomes that reached disk, and re-dispatch
-// only what is left. Seeds travel in the journal, so recovered
-// requests re-execute bit-identically.
+// recover re-admits one journaled batch: rebuild its requests from
+// their wire shape through Resolve, reapply the outcomes that reached
+// disk, and re-dispatch only what is left. Seeds, parameter bindings
+// and options travel in the journal, so recovered requests re-execute
+// bit-identically.
 func (c *Coordinator) recover(rb *recBatch) error {
 	if rb.accepted.Chip != "" && rb.accepted.Chip != c.chip {
 		return fmt.Errorf("coordinator: wal batch %s targets chip %q, pool is %q", rb.id, rb.accepted.Chip, c.chip)
 	}
 	reqs := make([]eqasm.RunRequest, len(rb.accepted.Requests))
-	for i, rr := range rb.accepted.Requests {
-		prog, err := eqasm.Assemble(rr.Source, c.cfg.Machine...)
+	for i, item := range rb.accepted.Requests {
+		req, err := c.Resolve(item)
 		if err != nil {
 			return fmt.Errorf("coordinator: wal batch %s request %d: %w", rb.id, i, err)
 		}
-		reqs[i] = eqasm.RunRequest{
-			Program: prog,
-			Options: eqasm.RunOptions{Shots: rr.Shots, Seed: rr.Seed, Backend: rr.Backend},
-			Tag:     rr.Tag,
-		}
+		reqs[i] = req
 	}
 	p, err := c.newPending(rb.id, nil, reqs)
 	if err != nil {

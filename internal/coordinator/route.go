@@ -187,9 +187,9 @@ func (c *Coordinator) route(p *pending, outstanding []int) map[*worker][]int {
 // whole pool is eligible — the introspection hook for reasoning about
 // (and testing) placement.
 func (c *Coordinator) RouteURL(p *eqasm.Program) (string, error) {
-	src, err := wireText(p)
+	item, err := wireRequest(eqasm.RunRequest{Program: p})
 	if err != nil {
 		return "", err
 	}
-	return rank(routeKey(src), c.workers)[0].url, nil
+	return rank(routeKey(item.Source), c.workers)[0].url, nil
 }

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"eqasm/internal/asm"
@@ -193,46 +192,6 @@ func (s *System) RunShots(shots int, collect func(shot int, m *microarch.Machine
 // SeedStride separates the random streams of sibling executions: worker
 // w (or service batch w) runs at base seed + w*SeedStride.
 const SeedStride = 1_000_003
-
-// ParallelShots distributes repeated executions of an assembly program
-// over worker goroutines, each with its own machine (machines are not
-// concurrency safe; the chips are independent anyway). Workers derive
-// their random streams from opts.Seed plus the worker index, so results
-// are reproducible for a fixed worker count. collect is called serially.
-//
-// Deprecated: ParallelShots is a thin veneer over SystemPool.FanShots,
-// the single shot fan-out code path also backing the public eqasm
-// Backend. New code should use the eqasm package (or FanShots directly
-// inside this module) and gain machine pooling and per-shot context
-// cancellation; this wrapper remains for source compatibility.
-func ParallelShots(opts Options, src string, shots, workers int,
-	collect func(shot int, m *microarch.Machine)) error {
-	// Resolve context defaults once, so the probe system, the pool and
-	// every plan lowered through it share one topology/configuration.
-	opts = opts.withDefaults()
-	sys, err := NewSystem(opts)
-	if err != nil {
-		return err
-	}
-	prog, err := sys.Asm.Assemble(src)
-	if err != nil {
-		return fmt.Errorf("core: shot 0: %w", err)
-	}
-	pool := NewSystemPool(opts)
-	// Seed worker 0's checkout with the probe system; Get reseeds it, so
-	// the run is indistinguishable from a fresh build.
-	pool.Put(sys)
-	return pool.FanShots(context.Background(), prog, opts.Seed, shots, workers,
-		func(shot int, m *microarch.Machine, runErr error) error {
-			if runErr != nil {
-				return fmt.Errorf("core: shot %d: %w", shot, runErr)
-			}
-			if collect != nil {
-				collect(shot, m)
-			}
-			return nil
-		})
-}
 
 // Reseed restarts the machine's random stream (backend permitting): the
 // next Reset+Run sequence then reproduces a system freshly built with

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,11 +119,34 @@ func TestNoiseWiring(t *testing.T) {
 	}
 }
 
+// fanShots assembles src and runs it through SystemPool.FanShots,
+// collecting every successful shot and returning the first failure.
+func fanShots(opts Options, src string, shots, workers int, collect func(shot int, m *microarch.Machine)) error {
+	// Resolve context defaults once, so the assembling system and the
+	// pool's plans share one topology and configuration.
+	opts = opts.withDefaults()
+	sys, err := NewSystem(opts)
+	if err != nil {
+		return err
+	}
+	prog, err := sys.Asm.Assemble(src)
+	if err != nil {
+		return err
+	}
+	return NewSystemPool(opts).FanShots(context.Background(), prog, opts.Seed, shots, workers,
+		func(shot int, m *microarch.Machine, runErr error) error {
+			if runErr == nil && collect != nil {
+				collect(shot, m)
+			}
+			return runErr
+		})
+}
+
 func TestParallelShots(t *testing.T) {
 	const shots = 400
 	ones := 0
 	seen := map[int]bool{}
-	err := ParallelShots(Options{Seed: 11}, `
+	err := fanShots(Options{Seed: 11}, `
 SMIS S0, {0}
 X90 S0
 MEASZ S0
@@ -152,15 +176,16 @@ STOP
 }
 
 func TestParallelShotsPropagatesErrors(t *testing.T) {
-	err := ParallelShots(Options{}, "FROBNICATE S0\nSTOP", 4, 2, nil)
+	// LD from a negative address faults every shot at runtime.
+	err := fanShots(Options{}, "LDI R1, -8\nLD R2, R1(0)\nSTOP", 4, 2, nil)
 	if err == nil {
-		t.Fatal("bad program accepted")
+		t.Fatal("faulting program ran clean")
 	}
 }
 
 func TestParallelShotsWorkerClamping(t *testing.T) {
 	count := 0
-	err := ParallelShots(Options{}, "NOP\nSTOP", 3, 16, func(int, *microarch.Machine) {
+	err := fanShots(Options{}, "NOP\nSTOP", 3, 16, func(int, *microarch.Machine) {
 		count++
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 
 	"eqasm"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
 // BatchBackend is the contract BackendServer serves: the public
@@ -22,10 +22,10 @@ type BatchBackend interface {
 	// Job returns a submitted job by ID, including recently finished
 	// ones.
 	Job(id string) (*eqasm.Job, bool)
-	// Resolve turns wire source text into a bound program (assembling
-	// eQASM or compiling cQASM), reporting whether it came from a cache.
-	// A non-empty chip must match the backend's topology.
-	Resolve(source, format, chip string) (prog *eqasm.Program, cached bool, err error)
+	// Resolve turns one decoded wire request into a run request bound
+	// to a program (assembling eQASM or compiling circuit text). The
+	// body has passed decodeBatch's checks.
+	Resolve(item wire.Request) (eqasm.RunRequest, error)
 	// StatsPayload returns the backend's counters; marshaled verbatim
 	// as the /v1/stats payload. (Named so implementations keep a typed
 	// Stats method of their own.)
@@ -48,9 +48,10 @@ type BatchBackend interface {
 //	GET    /v1/stats        backend counters
 //	GET    /healthz         liveness probe (503 while draining)
 //
-// Circuit-structure requests (the "circuit" field) are not accepted at
-// this tier — submit source text; the single-job /v1/jobs surface is
-// likewise a worker-level API.
+// Requests arrive in the wire.Batch shape, decoded and checked by the
+// same function as Server's, so parameter bindings, fusion and backend
+// overrides reach the backend intact; whether a request form (such as
+// a "circuit" gate list) is served is the backend's call in Resolve.
 type BackendServer struct {
 	backend BatchBackend
 	start   time.Time
@@ -73,43 +74,24 @@ func (s *BackendServer) Handler() http.Handler {
 }
 
 func (s *BackendServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	body, _, ok := decodeBatch(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Requests) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	reqs := make([]eqasm.RunRequest, len(req.Requests))
-	for i, item := range req.Requests {
-		if item.Circuit != nil {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("request %d: circuit jobs are not accepted at the routing tier; submit source text", i))
-			return
-		}
-		if item.Shots < 0 || item.Seed < 0 {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("request %d: negative shots or seed", i))
-			return
-		}
-		prog, _, err := s.backend.Resolve(item.Source, item.Format, item.Chip)
+	reqs := make([]eqasm.RunRequest, len(body.Requests))
+	for i, item := range body.Requests {
+		req, err := s.backend.Resolve(item)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
 			return
 		}
-		reqs[i] = eqasm.RunRequest{
-			Program: prog,
-			Options: eqasm.RunOptions{Shots: item.Shots, Seed: item.Seed, Backend: item.Backend},
-			Tag:     item.Tag,
-		}
+		reqs[i] = req
 	}
 	// Same lifetime contract as Server: a waiting client that
 	// disconnects cancels its batch; an async batch outlives the request
 	// and is cancelled via DELETE.
 	ctx := context.Background()
-	if req.Wait {
+	if body.Wait {
 		ctx = r.Context()
 	}
 	job, err := s.backend.Submit(ctx, reqs...)
@@ -122,7 +104,7 @@ func (s *BackendServer) handleSubmitBatch(w http.ResponseWriter, r *http.Request
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Wait {
+	if body.Wait {
 		if _, err := job.Wait(r.Context()); err != nil && job.Status() == eqasm.JobQueued {
 			httpError(w, http.StatusRequestTimeout, err)
 			return

@@ -4,21 +4,18 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs         submit a job ({"source": ..., "shots": N, "wait": true};
-//	                        {"format": "cqasm"} or {"format": "openqasm"} submits
-//	                        circuit text compiled server-side)
-//	GET    /v1/jobs/{id}    job status and, once finished, its result
-//	DELETE /v1/jobs/{id}    cancel a job
 //	POST   /v1/batches      submit N programs as one queued unit
-//	                        ({"requests": [{"source": ..., "shots": N, "seed": S, "tag": ...}, ...]})
+//	                        ({"requests": [{"source": ..., "shots": N, "seed": S, "tag": ...}, ...]};
+//	                        "wait": true answers once the batch finished; a request's
+//	                        "format": "cqasm" or "openqasm" submits circuit text
+//	                        compiled server-side, "circuit" a gate list)
 //	GET    /v1/batches/{id} batch status with per-request statuses, histograms and stats
 //	DELETE /v1/batches/{id} cancel a batch
 //	GET    /v1/stats        service counters (queue depth, cache hits, batch stats)
 //	GET    /healthz         liveness probe
 //
-// Jobs and batches share one ID space: a batch is a job with N
-// requests, and /v1/jobs/{id} describes it too (with per-request
-// results inside "result" once finished).
+// The request body is declared once, in internal/wire, and decoded by
+// one function (decodeBatch) for both Server and BackendServer.
 package httpapi
 
 import (
@@ -32,6 +29,7 @@ import (
 
 	"eqasm"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
 // Server is the HTTP/JSON front end over a service.Service.
@@ -48,135 +46,12 @@ func New(svc *service.Service) *Server {
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("POST /v1/batches", s.handleSubmitBatch)
 	mux.HandleFunc("GET /v1/batches/{id}", s.handleGetBatch)
 	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleCancelBatch)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
-}
-
-// jobRequest is the POST /v1/jobs payload. Exactly one of source and
-// circuit must be set.
-type jobRequest struct {
-	// Source is program text in the language named by Format.
-	Source string `json:"source,omitempty"`
-	// Format is the source language: "eqasm" (default), "cqasm" or
-	// "openqasm" (hardware-independent circuit text in either syntax,
-	// compiled server-side).
-	Format string `json:"format,omitempty"`
-	// Circuit is a hardware-independent circuit to compile.
-	Circuit *circuitJSON `json:"circuit,omitempty"`
-	// Shots is the repetition count (default 1).
-	Shots int `json:"shots,omitempty"`
-	// Priority is "low", "normal" (default) or "high".
-	Priority string `json:"priority,omitempty"`
-	// Seed, when nonzero, fixes the job's random streams (must be
-	// non-negative).
-	Seed int64 `json:"seed,omitempty"`
-	// Chip, when set, names the topology the program was built for;
-	// the service rejects the job if it runs a different chip.
-	Chip string `json:"chip,omitempty"`
-	// Backend overrides the chip-simulation backend for this job:
-	// "auto", "statevector", "densitymatrix" or "stabilizer".
-	Backend string `json:"backend,omitempty"`
-	// Fusion overrides plan-time gate fusion for this job: "on" or
-	// "off" (default: the execution backend's setting, fusion on).
-	Fusion string `json:"fusion,omitempty"`
-	// Params binds the program's symbolic rotation parameters (name →
-	// angle in radians). Params are a bind point, not program content:
-	// they stay out of the program cache key.
-	Params map[string]float64 `json:"params,omitempty"`
-	// Wait makes the request synchronous: the response carries the
-	// result instead of a queued-job ticket.
-	Wait bool `json:"wait,omitempty"`
-}
-
-type circuitJSON struct {
-	Name      string     `json:"name,omitempty"`
-	NumQubits int        `json:"num_qubits"`
-	Gates     []gateJSON `json:"gates"`
-}
-
-type gateJSON struct {
-	Name           string  `json:"name"`
-	Qubits         []int   `json:"qubits"`
-	DurationCycles int     `json:"duration_cycles,omitempty"`
-	Measure        bool    `json:"measure,omitempty"`
-	Angle          float64 `json:"angle,omitempty"`
-	Param          string  `json:"param,omitempty"`
-}
-
-func (c *circuitJSON) toCircuit() *eqasm.Circuit {
-	out := &eqasm.Circuit{Name: c.Name, NumQubits: c.NumQubits}
-	for _, g := range c.Gates {
-		out.Gates = append(out.Gates, eqasm.Gate{
-			Name:           g.Name,
-			Qubits:         g.Qubits,
-			DurationCycles: g.DurationCycles,
-			Measure:        g.Measure,
-			Angle:          g.Angle,
-			Param:          g.Param,
-		})
-	}
-	return out
-}
-
-// jobResponse describes a job in every GET/POST response.
-type jobResponse struct {
-	ID       string          `json:"id"`
-	Status   service.State   `json:"status"`
-	Priority string          `json:"priority"`
-	Result   *service.Result `json:"result,omitempty"`
-	Error    string          `json:"error,omitempty"`
-}
-
-func describeJob(job *service.Job) jobResponse {
-	resp := jobResponse{
-		ID:       job.ID,
-		Status:   job.Status(),
-		Priority: job.Priority().String(),
-	}
-	if resp.Status.Terminal() {
-		res, err := job.Result()
-		resp.Result = res
-		if err != nil {
-			resp.Error = err.Error()
-		}
-	}
-	return resp
-}
-
-// batchRequest is the POST /v1/batches payload: N program requests
-// admitted, queued and retired as one job.
-type batchRequest struct {
-	// Requests are the programs to execute, each with its own shots,
-	// seed and tag.
-	Requests []batchRequestItem `json:"requests"`
-	// Priority orders the whole batch: "low", "normal" (default) or
-	// "high".
-	Priority string `json:"priority,omitempty"`
-	// Wait makes the request synchronous: the response carries every
-	// request's result instead of a queued-batch ticket.
-	Wait bool `json:"wait,omitempty"`
-}
-
-// batchRequestItem is one request of a batch, mirroring the
-// single-job payload minus priority/wait (those are batch-level).
-type batchRequestItem struct {
-	Source  string             `json:"source,omitempty"`
-	Format  string             `json:"format,omitempty"`
-	Circuit *circuitJSON       `json:"circuit,omitempty"`
-	Shots   int                `json:"shots,omitempty"`
-	Seed    int64              `json:"seed,omitempty"`
-	Tag     string             `json:"tag,omitempty"`
-	Chip    string             `json:"chip,omitempty"`
-	Backend string             `json:"backend,omitempty"`
-	Fusion  string             `json:"fusion,omitempty"`
-	Params  map[string]float64 `json:"params,omitempty"`
 }
 
 // batchResponse describes a batch in every GET/POST response: job
@@ -208,79 +83,33 @@ func describeBatch(job *service.Job) batchResponse {
 	return resp
 }
 
-// maxRequestBytes bounds a job submission body (programs are text; 8 MiB
+// maxRequestBytes bounds a submission body (programs are text; 8 MiB
 // is orders of magnitude above any real payload).
 const maxRequestBytes = 8 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+// decodeBatch reads and checks a POST /v1/batches body: the one decode
+// both Server and BackendServer run. Every request is checked against
+// the service's admission rules (source/circuit exclusivity, format,
+// backend and fusion names, shot and seed ranges, finite parameters,
+// batch size), so a body either is rejected here — with a 400 already
+// written to w, and ok false — or is well formed for whichever tier
+// executes it. spec is the batch in the service's terms.
+func decodeBatch(w http.ResponseWriter, r *http.Request) (body wire.Batch, spec service.BatchSpec, ok bool) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&body); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		return body, spec, false
 	}
-	prio, err := service.ParsePriority(req.Priority)
+	prio, err := service.ParsePriority(body.Priority)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
-		return
+		return body, spec, false
 	}
-	spec := service.JobSpec{
-		Source:   req.Source,
-		Format:   req.Format,
-		Shots:    req.Shots,
-		Priority: prio,
-		Seed:     req.Seed,
-		Chip:     req.Chip,
-		Backend:  req.Backend,
-		Fusion:   req.Fusion,
-		Params:   req.Params,
-	}
-	if req.Circuit != nil {
-		spec.Circuit = req.Circuit.toCircuit()
-	}
-	// A waiting client that disconnects cancels its job; an async job
-	// must outlive the request and is cancelled via DELETE instead.
-	ctx := context.Background()
-	if req.Wait {
-		ctx = r.Context()
-	}
-	job, err := s.svc.Submit(ctx, spec)
-	switch {
-	case err == nil:
-	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	default:
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Wait {
-		if _, err := job.Wait(r.Context()); err != nil && job.Status() == service.StateQueued {
-			// The client went away while the job was still queued.
-			httpError(w, http.StatusRequestTimeout, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, describeJob(job))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, describeJob(job))
-}
-
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	prio, err := service.ParsePriority(req.Priority)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := service.BatchSpec{Priority: prio}
-	for _, item := range req.Requests {
-		rs := service.RequestSpec{
+	spec = service.BatchSpec{Priority: prio, Requests: make([]service.RequestSpec, len(body.Requests))}
+	for i, item := range body.Requests {
+		spec.Requests[i] = service.RequestSpec{
 			Source:  item.Source,
 			Format:  item.Format,
+			Circuit: toCircuit(item.Circuit),
 			Shots:   item.Shots,
 			Seed:    item.Seed,
 			Tag:     item.Tag,
@@ -289,16 +118,43 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			Fusion:  item.Fusion,
 			Params:  item.Params,
 		}
-		if item.Circuit != nil {
-			rs.Circuit = item.Circuit.toCircuit()
-		}
-		spec.Requests = append(spec.Requests, rs)
+	}
+	if err := spec.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return body, spec, false
+	}
+	return body, spec, true
+}
+
+// toCircuit lifts a wire circuit into the public type (nil stays nil).
+func toCircuit(c *wire.Circuit) *eqasm.Circuit {
+	if c == nil {
+		return nil
+	}
+	out := &eqasm.Circuit{Name: c.Name, NumQubits: c.NumQubits}
+	for _, g := range c.Gates {
+		out.Gates = append(out.Gates, eqasm.Gate{
+			Name:           g.Name,
+			Qubits:         g.Qubits,
+			DurationCycles: g.DurationCycles,
+			Measure:        g.Measure,
+			Angle:          g.Angle,
+			Param:          g.Param,
+		})
+	}
+	return out
+}
+
+func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+	body, spec, ok := decodeBatch(w, r)
+	if !ok {
+		return
 	}
 	// A waiting client that disconnects cancels its batch; an async
 	// batch must outlive the request and is cancelled via DELETE
 	// instead.
 	ctx := context.Background()
-	if req.Wait {
+	if body.Wait {
 		ctx = r.Context()
 	}
 	job, err := s.svc.SubmitBatch(ctx, spec)
@@ -311,7 +167,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Wait {
+	if body.Wait {
 		if _, err := job.Wait(r.Context()); err != nil && job.Status() == service.StateQueued {
 			// The client went away while the batch was still queued.
 			httpError(w, http.StatusRequestTimeout, err)
@@ -340,25 +196,6 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	job.Cancel()
 	writeJSON(w, http.StatusOK, describeBatch(job))
-}
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.svc.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, describeJob(job))
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.svc.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	job.Cancel()
-	writeJSON(w, http.StatusOK, describeJob(job))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

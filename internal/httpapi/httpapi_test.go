@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,25 +63,27 @@ func field[T any](t *testing.T, m map[string]json.RawMessage, key string) T {
 	return v
 }
 
+// submitOne posts a one-request batch and returns the response with its
+// decoded body.
+func submitOne(t *testing.T, url string, req map[string]any, wait bool) (*http.Response, map[string]json.RawMessage) {
+	t.Helper()
+	return postJSON(t, url+"/v1/batches", map[string]any{"requests": []map[string]any{req}, "wait": wait})
+}
+
 // A synchronous submit returns the aggregated Bell histogram.
 func TestSubmitWait(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := submitOne(t, ts.URL, map[string]any{
 		"source": service.SmokePrograms()["bell"],
 		"shots":  100,
-		"wait":   true,
-	})
+	}, true)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %v", resp.StatusCode, body)
 	}
 	if st := field[string](t, body, "status"); st != "completed" {
 		t.Fatalf("status field = %q", st)
 	}
-	result := field[map[string]json.RawMessage](t, body, "result")
-	var hist map[string]int
-	if err := json.Unmarshal(result["histogram"], &hist); err != nil {
-		t.Fatal(err)
-	}
+	hist := field[[]service.RequestResult](t, body, "requests")[0].Histogram
 	total := 0
 	for key, n := range hist {
 		if key != "00" && key != "11" {
@@ -93,20 +96,21 @@ func TestSubmitWait(t *testing.T) {
 	}
 }
 
-// An async submit returns 202 and the job becomes queryable until done.
+// An async submit returns 202 and the batch becomes queryable until
+// done.
 func TestSubmitPoll(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := submitOne(t, ts.URL, map[string]any{
 		"source": service.SmokePrograms()["flip"],
 		"shots":  20,
-	})
+	}, false)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	id := field[string](t, body, "id")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		r, err := http.Get(ts.URL + "/v1/batches/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +130,7 @@ func TestSubmitPoll(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", jr.Status)
+			t.Fatalf("batch stuck in %q", jr.Status)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -135,7 +139,7 @@ func TestSubmitPoll(t *testing.T) {
 // Circuits submit through the same endpoint.
 func TestSubmitCircuit(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := submitOne(t, ts.URL, map[string]any{
 		"circuit": map[string]any{
 			"num_qubits": 3,
 			"gates": []map[string]any{
@@ -144,56 +148,58 @@ func TestSubmitCircuit(t *testing.T) {
 			},
 		},
 		"shots": 10,
-		"wait":  true,
-	})
+	}, true)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %v", resp.StatusCode, body)
 	}
-	result := field[map[string]json.RawMessage](t, body, "result")
-	var hist map[string]int
-	if err := json.Unmarshal(result["histogram"], &hist); err != nil {
-		t.Fatal(err)
-	}
+	hist := field[[]service.RequestResult](t, body, "requests")[0].Histogram
 	if hist["1"] != 10 {
 		t.Fatalf("X|0> histogram = %v, want all \"1\"", hist)
 	}
 }
 
-// Bad payloads are 400s, unknown jobs 404s, and stats/healthz serve.
+// Bad payloads are 400s, unknown batches 404s, /v1/jobs is gone, and
+// stats/healthz serve.
 func TestErrorPathsAndStats(t *testing.T) {
 	ts := newTestServer(t)
 
-	resp, _ := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"shots": 5})
+	resp, _ := submitOne(t, ts.URL, map[string]any{"shots": 5}, false)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spec: status = %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source": "NOTANINSTRUCTION", "wait": true,
-	})
+	resp, _ = submitOne(t, ts.URL, map[string]any{"source": "NOTANINSTRUCTION"}, true)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("assembly error: status = %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source": "STOP", "priority": "urgent",
+	resp, _ = postJSON(t, ts.URL+"/v1/batches", map[string]any{
+		"requests": []map[string]any{{"source": "STOP"}}, "priority": "urgent",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad priority: status = %d", resp.StatusCode)
 	}
 
-	r, err := http.Get(ts.URL + "/v1/jobs/job-999999")
+	r, err := http.Get(ts.URL + "/v1/batches/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: status = %d", r.StatusCode)
+		t.Fatalf("unknown batch: status = %d", r.StatusCode)
+	}
+	r, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"source": "STOP"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound && r.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/jobs: status = %d, want 404 or 405", r.StatusCode)
 	}
 
-	// One real job so the counters move.
-	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source": service.SmokePrograms()["flip"], "shots": 5, "wait": true,
-	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("job: status = %d", resp.StatusCode)
+	// One real batch so the counters move.
+	if resp, _ := submitOne(t, ts.URL, map[string]any{
+		"source": service.SmokePrograms()["flip"], "shots": 5,
+	}, true); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status = %d", resp.StatusCode)
 	}
 
 	r, err = http.Get(ts.URL + "/v1/stats")
@@ -215,7 +221,7 @@ func TestErrorPathsAndStats(t *testing.T) {
 	if stats.Workers != 2 || stats.JobsCompleted != 1 || stats.ShotsExecuted != 5 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	// The single job assembled and lowered its execution plan once.
+	// The single batch assembled and lowered its execution plan once.
 	if stats.PlanCacheHits != 0 || stats.PlanCacheMisses != 1 {
 		t.Fatalf("plan cache counters = %d hits / %d misses, want 0/1", stats.PlanCacheHits, stats.PlanCacheMisses)
 	}
@@ -230,7 +236,7 @@ func TestErrorPathsAndStats(t *testing.T) {
 	}
 }
 
-// DELETE cancels a queued job.
+// DELETE cancels a running batch.
 func TestCancelJob(t *testing.T) {
 	svc, err := service.New(service.Config{
 		Workers:    1,
@@ -246,16 +252,16 @@ func TestCancelJob(t *testing.T) {
 		ts.Close()
 		svc.Close()
 	}()
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := submitOne(t, ts.URL, map[string]any{
 		"source": service.SmokePrograms()["bell"],
 		"shots":  500000,
-	})
+	}, false)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	id := field[string](t, body, "id")
 
-	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%s", ts.URL, id), nil)
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/batches/%s", ts.URL, id), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +289,7 @@ func TestCancelJob(t *testing.T) {
 
 // A /v1/batches submit queues N programs as one job with per-request
 // statuses; polling surfaces per-request histograms and stats, and the
-// wire results match individual /v1/jobs submissions at the same seeds.
+// wire results match one-request batches at the same seeds.
 func TestSubmitBatch(t *testing.T) {
 	ts := newTestServer(t)
 	requests := []map[string]any{
@@ -326,27 +332,21 @@ func TestSubmitBatch(t *testing.T) {
 	}
 
 	// Each request's wire histogram matches the same program submitted
-	// alone through /v1/jobs (fixed seeds).
+	// alone as a one-request batch (fixed seeds).
 	for i, req := range requests {
-		_, solo := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-			"source": req["source"], "shots": req["shots"], "seed": req["seed"], "wait": true,
-		})
-		var soloRes struct {
-			Histogram map[string]int  `json:"histogram"`
-			Total     eqasm.ExecStats `json:"total_stats"`
-		}
-		if err := json.Unmarshal(solo["result"], &soloRes); err != nil {
-			t.Fatal(err)
-		}
+		_, soloBody := submitOne(t, ts.URL, map[string]any{
+			"source": req["source"], "shots": req["shots"], "seed": req["seed"],
+		}, true)
+		solo := field[[]service.RequestResult](t, soloBody, "requests")[0]
 		rr := reqs[i]
 		if rr.Tag != req["tag"] || rr.Status != service.StateCompleted {
 			t.Fatalf("request %d = %+v", i, rr)
 		}
-		if fmt.Sprint(rr.Histogram) != fmt.Sprint(soloRes.Histogram) {
-			t.Fatalf("request %d: batch %v, solo %v", i, rr.Histogram, soloRes.Histogram)
+		if fmt.Sprint(rr.Histogram) != fmt.Sprint(solo.Histogram) {
+			t.Fatalf("request %d: batch %v, solo %v", i, rr.Histogram, solo.Histogram)
 		}
-		if rr.TotalStats != soloRes.Total || rr.TotalStats.Instructions == 0 {
-			t.Fatalf("request %d: total stats %+v, solo %+v", i, rr.TotalStats, soloRes.Total)
+		if rr.TotalStats != solo.TotalStats || rr.TotalStats.Instructions == 0 {
+			t.Fatalf("request %d: total stats %+v, solo %+v", i, rr.TotalStats, solo.TotalStats)
 		}
 	}
 

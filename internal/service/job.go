@@ -120,40 +120,6 @@ type BatchSpec struct {
 	Priority Priority
 }
 
-// JobSpec describes a single-program job — the classic surface, now
-// sugar over a one-request BatchSpec.
-type JobSpec struct {
-	Source   string
-	Format   string
-	Circuit  *eqasm.Circuit
-	Shots    int
-	Priority Priority
-	Seed     int64
-	Chip     string
-	Backend  string
-	Fusion   string
-	Params   map[string]float64
-}
-
-// batch lifts the single-program spec into the batch shape every job
-// uses internally.
-func (spec JobSpec) batch() BatchSpec {
-	return BatchSpec{
-		Priority: spec.Priority,
-		Requests: []RequestSpec{{
-			Source:  spec.Source,
-			Format:  spec.Format,
-			Circuit: spec.Circuit,
-			Shots:   spec.Shots,
-			Seed:    spec.Seed,
-			Chip:    spec.Chip,
-			Backend: spec.Backend,
-			Fusion:  spec.Fusion,
-			Params:  spec.Params,
-		}},
-	}
-}
-
 // MaxJobShots bounds a single request's shot count: large enough for
 // any real tomography or RB campaign, small enough that batch
 // arithmetic cannot overflow and one request cannot monopolize the
@@ -214,7 +180,12 @@ func (spec RequestSpec) validate(i int) error {
 	return nil
 }
 
-func (spec BatchSpec) validate() error {
+// Validate checks the batch against the admission rules SubmitBatch
+// enforces before resolving any program: batch size, source/circuit
+// exclusivity, format, backend and fusion names, shot and seed ranges,
+// and finite parameter values. The HTTP front ends run it on every
+// decoded body, so a malformed batch is a 400 at any tier.
+func (spec BatchSpec) Validate() error {
 	if len(spec.Requests) == 0 {
 		return errors.New("service: empty batch")
 	}
@@ -305,8 +276,10 @@ type RequestResult struct {
 	Status State `json:"status"`
 	// Shots counts this request's executed shots so far.
 	Shots int `json:"shots"`
-	// Histogram counts this request's measurement outcomes (same key
-	// scheme as Result.Histogram).
+	// Histogram counts this request's measurement outcomes. Keys are
+	// bitstrings over the measured qubits in ascending qubit order (the
+	// last result per qubit within a shot); a program that measures
+	// nothing contributes to the "" key.
 	Histogram map[string]int `json:"histogram,omitempty"`
 	// Qubits lists the request's measured qubits, ascending.
 	Qubits []int `json:"qubits,omitempty"`
@@ -327,27 +300,14 @@ type RequestResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Result is a finished job's aggregate outcome. Requests always carries
-// the per-request results; the top-level Histogram/Qubits/Stats mirror
-// request 0 for single-request jobs (the classic surface) and are empty
-// for multi-request batches, whose outcomes are per request.
+// Result is a finished job's aggregate outcome; the per-request
+// histograms, qubits and counters are in Requests.
 type Result struct {
 	JobID string `json:"job_id"`
 	// Shots is the number of shots actually executed, summed across
 	// requests (less than requested when the job was cancelled
 	// mid-run).
 	Shots int `json:"shots"`
-	// Histogram counts measurement outcomes of a single-request job.
-	// Keys are bitstrings over the measured qubits in ascending qubit
-	// order (the last result per qubit within a shot); a program that
-	// measures nothing contributes to the "" key.
-	Histogram map[string]int `json:"histogram"`
-	// Qubits lists the measured qubits, ascending — the bit order of
-	// the histogram keys (single-request jobs).
-	Qubits []int `json:"qubits,omitempty"`
-	// Stats are the counters of the last executed shot (single-request
-	// jobs; see Requests for batches).
-	Stats eqasm.ExecStats `json:"stats"`
 	// TotalStats sums every executed shot's counters across all
 	// requests.
 	TotalStats eqasm.ExecStats `json:"total_stats"`
@@ -549,7 +509,7 @@ func (j *Job) Result() (*Result, error) {
 }
 
 // Wait blocks until the job finishes or ctx expires. A ctx expiry does
-// not cancel the job (cancel via the Submit ctx or Cancel).
+// not cancel the job (cancel via the SubmitBatch ctx or Cancel).
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -717,15 +677,6 @@ func (j *Job) finalizeLocked() {
 		res.TotalStats.Add(r.total)
 		res.CacheHit = res.CacheHit && r.cacheHit
 		res.AssembleTime += r.assembleTime
-	}
-	if len(j.reqs) == 1 {
-		r := j.reqs[0]
-		res.Histogram = res.Requests[0].Histogram
-		res.Qubits = r.qubits
-		res.Stats = r.stats
-	}
-	if res.Histogram == nil {
-		res.Histogram = map[string]int{}
 	}
 	j.result = res
 	if j.stopWatch != nil {

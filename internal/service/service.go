@@ -2,9 +2,9 @@
 // classical host's serving layer of Fig. 1, grown into a job service.
 // Clients submit eQASM source, cQASM circuit text (Format "cqasm",
 // compiled server-side through the pass pipeline) or hardware-
-// independent circuit structures — one program per job (Submit) or N
-// programs as one batch job (SubmitBatch) with per-request histograms
-// and statuses. The service assembles or compiles each program once
+// independent circuit structures as batch jobs (SubmitBatch): N
+// programs admitted as one unit, with per-request histograms and
+// statuses. The service assembles or compiles each program once
 // and caches the result by content hash, and a bounded pool of workers
 // fans every request's shots out as batches over independent QuMA_v2
 // machines, aggregating the measurement outcomes into per-request
@@ -68,8 +68,9 @@ func (drainingError) Is(target error) bool { return target == ErrClosed }
 type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the number of queued shot batches; a Submit that
-	// would overflow it fails with ErrQueueFull. Default 256.
+	// QueueDepth bounds the number of queued shot batches; a
+	// SubmitBatch that would overflow it fails with ErrQueueFull.
+	// Default 256.
 	QueueDepth int
 	// CacheSize bounds the assembled-program cache (LRU entries).
 	// Default 128.
@@ -125,7 +126,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Service is a running execution engine. Create with New, submit with
-// Submit, stop with Shutdown (drain) or Close (cancel).
+// SubmitBatch, stop with Shutdown (drain) or Close (cancel).
 type Service struct {
 	cfg Config
 	// sim is the shared execution backend: it pools reseedable
@@ -257,15 +258,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Submit validates, resolves (assembling or compiling through the
-// cache), and enqueues a single-program job, returning immediately with
-// its handle — sugar over a one-request SubmitBatch. ctx cancellation
-// propagates to the job for its whole lifetime: a deadline that expires
-// while the job is queued or running cancels it.
-func (s *Service) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
-	return s.SubmitBatch(ctx, spec.batch())
-}
-
 // SubmitBatch validates, resolves and enqueues a batch of requests as
 // one job: one queue admission, one retirement, per-request histograms
 // and statuses. Every request splits into shot batches exactly as a
@@ -273,7 +265,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // results are bit-identical to submitting each request on its own (at
 // the same seeds). ctx cancellation propagates to the whole batch.
 func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		s.metrics.jobsRejected.Add(1)
 		return nil, err
 	}
@@ -372,15 +364,6 @@ func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error)
 		s.metrics.batchJobs.Add(1)
 	}
 	return job, nil
-}
-
-// Run is the synchronous convenience wrapper: Submit then Wait.
-func (s *Service) Run(ctx context.Context, spec JobSpec) (*Result, error) {
-	job, err := s.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	return job.Wait(ctx)
 }
 
 // Job returns a submitted job by ID (including recently finished ones,

@@ -25,6 +25,20 @@ func newService(t *testing.T, cfg service.Config) *service.Service {
 	return svc
 }
 
+// one wraps a single request as a batch.
+func one(rs service.RequestSpec) service.BatchSpec {
+	return service.BatchSpec{Requests: []service.RequestSpec{rs}}
+}
+
+// run submits one request as a batch and waits for it to finish.
+func run(svc *service.Service, rs service.RequestSpec) (*service.Result, error) {
+	job, err := svc.SubmitBatch(context.Background(), one(rs))
+	if err != nil {
+		return nil, err
+	}
+	return job.Wait(context.Background())
+}
+
 func waitResult(t *testing.T, job *service.Job) *service.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -45,10 +59,10 @@ func TestSubmitBell(t *testing.T) {
 		Machine:    []eqasm.Option{eqasm.WithSeed(4)},
 	})
 	const shots = 300
-	job, err := svc.Submit(context.Background(), service.JobSpec{
+	job, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 		Source: service.SmokePrograms()["bell"],
 		Shots:  shots,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +74,7 @@ func TestSubmitBell(t *testing.T) {
 		t.Fatalf("shots = %d, want %d", res.Shots, shots)
 	}
 	total := 0
-	for key, n := range res.Histogram {
+	for key, n := range res.Requests[0].Histogram {
 		if key != "00" && key != "11" {
 			t.Fatalf("uncorrelated Bell outcome %q (%d shots)", key, n)
 		}
@@ -69,11 +83,11 @@ func TestSubmitBell(t *testing.T) {
 	if total != shots {
 		t.Fatalf("histogram sums to %d, want %d", total, shots)
 	}
-	if res.Histogram["00"] == 0 || res.Histogram["11"] == 0 {
-		t.Fatalf("degenerate Bell histogram: %v", res.Histogram)
+	if res.Requests[0].Histogram["00"] == 0 || res.Requests[0].Histogram["11"] == 0 {
+		t.Fatalf("degenerate Bell histogram: %v", res.Requests[0].Histogram)
 	}
-	if len(res.Qubits) != 2 || res.Qubits[0] != 0 || res.Qubits[1] != 2 {
-		t.Fatalf("qubits = %v, want [0 2]", res.Qubits)
+	if len(res.Requests[0].Qubits) != 2 || res.Requests[0].Qubits[0] != 0 || res.Requests[0].Qubits[1] != 2 {
+		t.Fatalf("qubits = %v, want [0 2]", res.Requests[0].Qubits)
 	}
 }
 
@@ -82,21 +96,21 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	svc := newService(t, service.Config{Workers: 2, Machine: []eqasm.Option{eqasm.WithSeed(1)}})
 	progs := service.SmokePrograms()
 
-	res, err := svc.Run(context.Background(), service.JobSpec{Source: progs["flip"], Shots: 3})
+	res, err := run(svc, service.RequestSpec{Source: progs["flip"], Shots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CacheHit {
 		t.Fatal("first submit reported a cache hit")
 	}
-	res, err = svc.Run(context.Background(), service.JobSpec{Source: progs["flip"], Shots: 3})
+	res, err = run(svc, service.RequestSpec{Source: progs["flip"], Shots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.CacheHit {
 		t.Fatal("second submit of identical source missed the cache")
 	}
-	if _, err = svc.Run(context.Background(), service.JobSpec{Source: progs["bell"], Shots: 3}); err != nil {
+	if _, err = run(svc, service.RequestSpec{Source: progs["bell"], Shots: 3}); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -136,7 +150,7 @@ func TestConcurrentSubmits(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				res, err := svc.Run(context.Background(), service.JobSpec{
+				res, err := run(svc, service.RequestSpec{
 					Source: sources[(g+i)%len(sources)],
 					Shots:  shots,
 				})
@@ -175,10 +189,10 @@ func TestCancellationMidJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const shots = 100000 // far more than can run before the cancel lands
-	job, err := svc.Submit(ctx, service.JobSpec{
+	job, err := svc.SubmitBatch(ctx, one(service.RequestSpec{
 		Source: service.SmokePrograms()["bell"],
 		Shots:  shots,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +231,9 @@ func TestQueueSaturation(t *testing.T) {
 	// One job on the worker, four filling the queue.
 	jobs := make([]*service.Job, 0, 5)
 	for i := 0; i < 5; i++ {
-		job, err := svc.Submit(context.Background(), service.JobSpec{
+		job, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 			Source: progs["flip"], Shots: 1000,
-		})
+		}))
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -233,9 +247,9 @@ func TestQueueSaturation(t *testing.T) {
 			}
 		}
 	}
-	_, err := svc.Submit(context.Background(), service.JobSpec{
+	_, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 		Source: progs["flip"], Shots: 1,
-	})
+	}))
 	if !errors.Is(err, service.ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -246,7 +260,7 @@ func TestQueueSaturation(t *testing.T) {
 	for _, job := range jobs {
 		waitResult(t, job)
 	}
-	res, err := svc.Run(context.Background(), service.JobSpec{
+	res, err := run(svc, service.RequestSpec{
 		Source: progs["flip"], Shots: 4,
 	})
 	if err != nil || res.Shots != 4 {
@@ -263,7 +277,7 @@ func TestHugeJobFitsSmallQueue(t *testing.T) {
 		BatchShots: 8,
 		Machine:    []eqasm.Option{eqasm.WithSeed(7)},
 	})
-	res, err := svc.Run(context.Background(), service.JobSpec{
+	res, err := run(svc, service.RequestSpec{
 		Source: service.SmokePrograms()["flip"],
 		Shots:  2000, // would be 250 eight-shot batches without scaling
 	})
@@ -287,20 +301,20 @@ func TestPriorityOrdering(t *testing.T) {
 	progs := service.SmokePrograms()
 	// Occupy the only worker with one long batch so both queued jobs
 	// are enqueued before the next pop.
-	blocker, err := svc.Submit(context.Background(), service.JobSpec{
+	blocker, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 		Source: progs["flip"], Shots: 5000,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := svc.SubmitBatch(context.Background(), service.BatchSpec{
+		Requests: []service.RequestSpec{{Source: progs["flip"], Shots: 50}}, Priority: service.PriorityLow,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := svc.Submit(context.Background(), service.JobSpec{
-		Source: progs["flip"], Shots: 50, Priority: service.PriorityLow,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := svc.Submit(context.Background(), service.JobSpec{
-		Source: progs["flip"], Shots: 50, Priority: service.PriorityHigh,
+	high, err := svc.SubmitBatch(context.Background(), service.BatchSpec{
+		Requests: []service.RequestSpec{{Source: progs["flip"], Shots: 50}}, Priority: service.PriorityHigh,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,12 +344,12 @@ func TestCircuitJob(t *testing.T) {
 			{Name: "MEASZ", Qubits: []int{2}, Measure: true},
 		},
 	}
-	res, err := svc.Run(context.Background(), service.JobSpec{Circuit: bell, Shots: 120})
+	res, err := run(svc, service.RequestSpec{Circuit: bell, Shots: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for key, n := range res.Histogram {
+	for key, n := range res.Requests[0].Histogram {
 		if key != "00" && key != "11" {
 			t.Fatalf("uncorrelated outcome %q", key)
 		}
@@ -344,7 +358,7 @@ func TestCircuitJob(t *testing.T) {
 	if total != 120 {
 		t.Fatalf("histogram sums to %d", total)
 	}
-	res, err = svc.Run(context.Background(), service.JobSpec{Circuit: bell, Shots: 10})
+	res, err = run(svc, service.RequestSpec{Circuit: bell, Shots: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +372,7 @@ func TestCircuitJob(t *testing.T) {
 func TestRuntimeFailure(t *testing.T) {
 	svc := newService(t, service.Config{Workers: 2, Machine: []eqasm.Option{eqasm.WithSeed(9)}})
 	// LD from a negative address is a microarchitectural fault.
-	_, err := svc.Run(context.Background(), service.JobSpec{
+	_, err := run(svc, service.RequestSpec{
 		Source: "LDI R1, -8\nLD R2, R1(0)\nSTOP",
 		Shots:  4,
 	})
@@ -369,7 +383,7 @@ func TestRuntimeFailure(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Healthy jobs still run afterwards.
-	if _, err := svc.Run(context.Background(), service.JobSpec{
+	if _, err := run(svc, service.RequestSpec{
 		Source: service.SmokePrograms()["flip"], Shots: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -379,7 +393,7 @@ func TestRuntimeFailure(t *testing.T) {
 // Invalid specs are rejected before they reach the queue.
 func TestSubmitValidation(t *testing.T) {
 	svc := newService(t, service.Config{Workers: 1})
-	cases := []service.JobSpec{
+	cases := []service.RequestSpec{
 		{}, // neither source nor circuit
 		{Source: "STOP", Circuit: &eqasm.Circuit{NumQubits: 1}}, // both
 		{Source: "STOP", Shots: -1},                             // negative shots
@@ -387,7 +401,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Source: "THISISNOTANOP S0\n"},                          // assembly error
 	}
 	for i, spec := range cases {
-		if _, err := svc.Submit(context.Background(), spec); err == nil {
+		if _, err := svc.SubmitBatch(context.Background(), one(spec)); err == nil {
 			t.Errorf("case %d: spec %+v accepted", i, spec)
 		}
 	}
@@ -406,10 +420,10 @@ func TestShutdownDrains(t *testing.T) {
 	})
 	var jobs []*service.Job
 	for i := 0; i < 6; i++ {
-		job, err := svc.Submit(context.Background(), service.JobSpec{
+		job, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 			Source: service.SmokePrograms()["bell"],
 			Shots:  40,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +439,7 @@ func TestShutdownDrains(t *testing.T) {
 			t.Fatalf("job %s = %s after drain", job.ID, job.Status())
 		}
 	}
-	if _, err := svc.Submit(context.Background(), service.JobSpec{Source: "STOP"}); !errors.Is(err, service.ErrClosed) {
+	if _, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{Source: "STOP"})); !errors.Is(err, service.ErrClosed) {
 		t.Fatalf("submit after shutdown: %v, want ErrClosed", err)
 	}
 }
@@ -439,9 +453,9 @@ func TestJobRetention(t *testing.T) {
 	})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		job, err := svc.Submit(context.Background(), service.JobSpec{
+		job, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 			Source: service.SmokePrograms()["flip"],
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +481,7 @@ func TestJobSeeding(t *testing.T) {
 		Machine:    []eqasm.Option{eqasm.WithSeed(1)},
 	})
 	run := func(seed int64) map[string]int {
-		res, err := svc.Run(context.Background(), service.JobSpec{
+		res, err := run(svc, service.RequestSpec{
 			Source: service.SmokePrograms()["bell"],
 			Shots:  64,
 			Seed:   seed,
@@ -475,7 +489,7 @@ func TestJobSeeding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Histogram
+		return res.Requests[0].Histogram
 	}
 	a, b, c := run(42), run(42), run(43)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -514,7 +528,7 @@ func TestSubmitBatchPerRequestParity(t *testing.T) {
 	}
 	wantShots := 0
 	for i, rs := range spec.Requests {
-		solo, err := svc.Run(context.Background(), service.JobSpec{
+		solo, err := run(svc, service.RequestSpec{
 			Source: rs.Source, Shots: rs.Shots, Seed: rs.Seed,
 		})
 		if err != nil {
@@ -527,8 +541,8 @@ func TestSubmitBatchPerRequestParity(t *testing.T) {
 		if rr.Shots != rs.Shots {
 			t.Fatalf("request %d ran %d shots, want %d", i, rr.Shots, rs.Shots)
 		}
-		if fmt.Sprint(rr.Histogram) != fmt.Sprint(solo.Histogram) {
-			t.Fatalf("request %d: batch %v, solo %v", i, rr.Histogram, solo.Histogram)
+		if fmt.Sprint(rr.Histogram) != fmt.Sprint(solo.Requests[0].Histogram) {
+			t.Fatalf("request %d: batch %v, solo %v", i, rr.Histogram, solo.Requests[0].Histogram)
 		}
 		if rr.TotalStats != solo.TotalStats {
 			t.Fatalf("request %d: total stats %+v, solo %+v", i, rr.TotalStats, solo.TotalStats)
@@ -685,7 +699,7 @@ func TestBackendSelectionAndStats(t *testing.T) {
 	bell := service.SmokePrograms()["bell"]
 
 	// Forced state vector first: no stabilizer shots yet.
-	res := waitResult(t, mustSubmit(t, svc, service.JobSpec{
+	res := waitResult(t, mustSubmit(t, svc, service.RequestSpec{
 		Source: bell, Shots: shots, Backend: eqasm.BackendStateVector,
 	}))
 	if got := res.Requests[0].Backend; got != eqasm.BackendStateVector {
@@ -697,7 +711,7 @@ func TestBackendSelectionAndStats(t *testing.T) {
 
 	// Auto-selection routes the noiseless Clifford-only Bell program to
 	// the tableau and the counter follows.
-	res = waitResult(t, mustSubmit(t, svc, service.JobSpec{Source: bell, Shots: shots}))
+	res = waitResult(t, mustSubmit(t, svc, service.RequestSpec{Source: bell, Shots: shots}))
 	if got := res.Requests[0].Backend; got != eqasm.BackendStabilizer {
 		t.Fatalf("auto request backend = %q, want %q", got, eqasm.BackendStabilizer)
 	}
@@ -730,16 +744,16 @@ func TestBackendSelectionAndStats(t *testing.T) {
 		}
 	}
 
-	if _, err := svc.Submit(context.Background(), service.JobSpec{
+	if _, err := svc.SubmitBatch(context.Background(), one(service.RequestSpec{
 		Source: bell, Shots: 1, Backend: "tensor-network",
-	}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+	})); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("unknown backend error = %v", err)
 	}
 }
 
-func mustSubmit(t *testing.T, svc *service.Service, spec service.JobSpec) *service.Job {
+func mustSubmit(t *testing.T, svc *service.Service, spec service.RequestSpec) *service.Job {
 	t.Helper()
-	job, err := svc.Submit(context.Background(), spec)
+	job, err := svc.SubmitBatch(context.Background(), one(spec))
 	if err != nil {
 		t.Fatal(err)
 	}

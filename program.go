@@ -110,17 +110,6 @@ func disassembleWith(st stack, words []uint32) (string, error) {
 	return d.Disassemble(words)
 }
 
-// renderSource renders the program as assembler-parseable source
-// directly from the in-memory instruction list, without a round trip
-// through the binary encoding — the only rendering available to
-// parametric programs, whose symbolic-angle operations have no 32-bit
-// encoding.
-func (p *Program) renderSource() (string, error) {
-	d := asm.NewDisassembler(p.st.opCfg, p.st.topo)
-	d.Inst = p.st.inst
-	return d.RenderProgram(p.prog)
-}
-
 // executable returns the program's execution plan, lowering it on
 // first use; cached reports whether the plan had already been built.
 func (p *Program) executable() (ex *plan.Executable, cached bool, err error) {
@@ -187,14 +176,19 @@ func (p *Program) Bytes() ([]byte, error) {
 	return isa.WordsToBytes(words), nil
 }
 
-// Disassemble encodes the program and renders it back as assembly text
-// under the program's own context.
+// Disassemble renders the program as assembly text under its own
+// context, text that Assemble accepts back: the decoded binary
+// encoding when the program has one, otherwise a rendering of the
+// in-memory instruction list (symbolic-angle operations and masks
+// wider than 64 bits have no 32-bit encoding).
 func (p *Program) Disassemble() (string, error) {
 	words, err := p.Words()
-	if err != nil {
-		return "", err
+	if err == nil {
+		return disassembleWith(p.st, words)
 	}
-	return disassembleWith(p.st, words)
+	d := asm.NewDisassembler(p.st.opCfg, p.st.topo)
+	d.Inst = p.st.inst
+	return d.RenderProgram(p.prog)
 }
 
 // Gate is one circuit-level operation on explicit qubits.

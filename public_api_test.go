@@ -127,62 +127,6 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 	}
 }
 
-// The deprecated core.ParallelShots and the Backend fan-out share one
-// code path: same seeds, same partitioning, same per-shot results.
-func TestParallelShotsDelegatesToBackendFanOut(t *testing.T) {
-	const (
-		seed    = 11
-		shots   = 64
-		workers = 4
-	)
-	src := shippedPrograms(t)["bell.eqasm"]
-
-	oldKeys := make(map[int]string, shots)
-	err := core.ParallelShots(core.Options{Seed: seed}, src, shots, workers,
-		func(shot int, m *microarch.Machine) {
-			key := ""
-			for _, r := range m.Measurements() {
-				key += fmt.Sprint(r.Result)
-			}
-			oldKeys[shot] = key
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prog, err := eqasm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := eqasm.NewSimulator(eqasm.WithSeed(seed), eqasm.WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := sim.RunStream(context.Background(), prog, eqasm.RunOptions{Shots: shots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newKeys := make(map[int]string, shots)
-	for sr := range stream {
-		if sr.Err != nil {
-			t.Fatal(sr.Err)
-		}
-		key := ""
-		for _, m := range sr.Measurements {
-			key += fmt.Sprint(m.Result)
-		}
-		newKeys[sr.Shot] = key
-	}
-	if len(newKeys) != shots || len(oldKeys) != shots {
-		t.Fatalf("collected %d/%d shots, want %d", len(oldKeys), len(newKeys), shots)
-	}
-	for shot, want := range oldKeys {
-		if newKeys[shot] != want {
-			t.Fatalf("shot %d: backend %q, ParallelShots %q", shot, newKeys[shot], want)
-		}
-	}
-}
-
 // Assembly faults surface as *AssembleError with line and column.
 func TestAssembleErrorPositions(t *testing.T) {
 	_, err := eqasm.Assemble("SMIS S0, {0}\nFROBNICATE S0\nLDI R99, 1\nSTOP")

@@ -14,6 +14,15 @@ import (
 	"eqasm/internal/service"
 )
 
+// runService submits one request as a batch and waits for its result.
+func runService(ctx context.Context, svc *service.Service, rs service.RequestSpec) (*service.Result, error) {
+	job, err := svc.SubmitBatch(ctx, service.BatchSpec{Requests: []service.RequestSpec{rs}})
+	if err != nil {
+		return nil, err
+	}
+	return job.Wait(ctx)
+}
+
 func TestServiceRunsShippedPrograms(t *testing.T) {
 	svc, err := service.New(service.Config{
 		Workers:    4,
@@ -53,15 +62,16 @@ func TestServiceRunsShippedPrograms(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			res, err := svc.Run(ctx, service.JobSpec{Source: src, Shots: shots})
+			res, err := runService(ctx, svc, service.RequestSpec{Source: src, Shots: shots})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Shots != shots {
 				t.Fatalf("ran %d shots, want %d", res.Shots, shots)
 			}
+			hist := res.Requests[0].Histogram
 			total := 0
-			for _, n := range res.Histogram {
+			for _, n := range hist {
 				total += n
 			}
 			if total != shots {
@@ -70,23 +80,23 @@ func TestServiceRunsShippedPrograms(t *testing.T) {
 			switch e.Name() {
 			case "bell.eqasm":
 				// Correlated outcomes only.
-				if res.Histogram["00"]+res.Histogram["11"] != shots {
-					t.Fatalf("Bell histogram: %v", res.Histogram)
+				if hist["00"]+hist["11"] != shots {
+					t.Fatalf("Bell histogram: %v", hist)
 				}
 			case "active_reset.eqasm":
 				// The conditional flip always restores |0>.
-				if res.Histogram["0"] != shots {
-					t.Fatalf("reset histogram: %v", res.Histogram)
+				if hist["0"] != shots {
+					t.Fatalf("reset histogram: %v", hist)
 				}
 			case "cfc.eqasm":
 				// Qubit 2 reads 1, the EQ path flips qubit 0 to 1.
-				if res.Histogram["11"] != shots {
-					t.Fatalf("CFC histogram: %v", res.Histogram)
+				if hist["11"] != shots {
+					t.Fatalf("CFC histogram: %v", hist)
 				}
 			case "loop.eqasm":
 				// The double flip returns qubit 0 to |0>.
-				if res.Histogram["0"] != shots {
-					t.Fatalf("loop histogram: %v", res.Histogram)
+				if hist["0"] != shots {
+					t.Fatalf("loop histogram: %v", hist)
 				}
 			}
 		})
